@@ -14,7 +14,7 @@ RACE_PKGS = ./internal/cache ./internal/dnsserver ./internal/obs ./internal/repo
 	./internal/parallel ./internal/features ./internal/ml ./internal/classify \
 	./internal/stream ./internal/alert
 
-.PHONY: verify fmt vet lint build test race bench bench-check budget prof-artifacts docs determinism chaos fuzz cover tracecheck trace-artifacts soak
+.PHONY: verify fmt vet lint build test race bench bench-check budget prof-artifacts docs determinism chaos fuzz cover tracecheck trace-artifacts soak examples
 
 verify: fmt vet lint build test race fuzz tracecheck budget docs
 	@echo "verify: all checks passed"
@@ -63,13 +63,26 @@ cover:
 		-pkgfloor dnsbackscatter/cmd/bsserve=35 < cover-packages.txt
 	@rm -f cover-packages.txt
 
-# Short fuzz smoke on the wire codec and the streaming engine: ten
-# seconds per target. Crashers land in the package's testdata/fuzz/ and
-# from then on run as plain regression tests on every `go test`.
+# Short fuzz smoke on every parser of outside input — the wire codec,
+# log lines, alert rule files, fault specs, pprof profiles — and on the
+# streaming engine: ten seconds per target. Crashers land in the
+# package's testdata/fuzz/ and from then on run as plain regression
+# tests on every `go test`.
 fuzz:
 	$(GO) test ./internal/dnswire -run '^$$' -fuzz FuzzDecode -fuzztime 10s
 	$(GO) test ./internal/dnswire -run '^$$' -fuzz FuzzRoundTrip -fuzztime 10s
 	$(GO) test ./internal/stream -run '^$$' -fuzz FuzzStreamIngest -fuzztime 10s
+	$(GO) test ./internal/dnslog -run '^$$' -fuzz FuzzParseRecord -fuzztime 10s
+	$(GO) test ./internal/alert -run '^$$' -fuzz FuzzAlertParse -fuzztime 10s
+	$(GO) test ./internal/faults -run '^$$' -fuzz FuzzFaultsParse -fuzztime 10s
+	$(GO) test ./internal/prof -run '^$$' -fuzz FuzzParseProfile -fuzztime 10s
+
+# Run every example program end to end (the build only compiles them).
+examples:
+	@for d in examples/*/; do \
+		echo "== $$d"; \
+		$(GO) run ./$$d || exit 1; \
+	done
 
 # Streaming-engine soak: ~700k records across 12 epochs at >10x the
 # engine's originator capacity, asserting the resource contract (hard

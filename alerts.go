@@ -57,12 +57,12 @@ func NewAlertEngine(rules []AlertRule) *AlertEngine { return alert.New(rules) }
 //
 //bslint:detroot
 func (d *Dataset) Alerts() *AlertEngine {
-	if d == nil || len(d.alertRules) == 0 || d.obs == nil || d.obs.Window() == nil {
+	if d == nil || len(d.alertRules) == 0 || d.Spec.Obs.Window() == nil {
 		return nil
 	}
 	eng := alert.New(d.alertRules)
 	data := alert.Data{
-		Series:  d.obs.Window().Timeseries(),
+		Series:  d.Spec.Obs.Window().Timeseries(),
 		Through: d.Spec.Start.Add(d.Spec.Duration),
 	}
 	if d.tracer != nil {

@@ -47,7 +47,8 @@ func alertRun(t *testing.T, seed uint64, workers int) *backscatter.AlertEngine {
 	reg.SetWindow(backscatter.NewWindow(450))
 	spec := seedMatrixSpec(seed, workers, "servfail-storm@1").
 		WithTracing(4).WithAlerts(alertTestRules)
-	eng := backscatter.BuildObserved(spec, reg).Alerts()
+	spec.Obs = reg
+	eng := backscatter.Build(spec).Alerts()
 	if eng == nil {
 		t.Fatalf("seed=%d workers=%d: WithAlerts built no engine", seed, workers)
 	}
@@ -126,7 +127,9 @@ func TestAlertsDisabled(t *testing.T) {
 	reg := backscatter.NewRegistry()
 	reg.SetClock(backscatter.TickClock(1))
 	reg.SetWindow(backscatter.NewWindow(3600))
-	if eng := backscatter.BuildObserved(spec, reg).Alerts(); eng != nil {
+	observed := spec
+	observed.Obs = reg
+	if eng := backscatter.Build(observed).Alerts(); eng != nil {
 		t.Error("dataset without rules returned a live engine")
 	}
 
@@ -136,7 +139,8 @@ func TestAlertsDisabled(t *testing.T) {
 	}
 	bare := backscatter.NewRegistry()
 	bare.SetClock(backscatter.TickClock(1))
-	if eng := backscatter.BuildObserved(spec.WithAlerts("default"), bare); eng.Alerts() != nil {
+	observed.Obs = bare
+	if eng := backscatter.Build(observed.WithAlerts("default")); eng.Alerts() != nil {
 		t.Error("dataset without a window returned a live engine")
 	}
 

@@ -76,10 +76,6 @@ type (
 	Duration = simtime.Duration
 	// NameCategory is a static querier-name class (home, mail, ns, ...).
 	NameCategory = qname.Category
-	// StreamExtractor computes approximate feature vectors in bounded
-	// memory (HyperLogLog footprints + bottom-k querier samples), the
-	// shape a sensor needs at operational volumes.
-	StreamExtractor = features.StreamExtractor
 )
 
 // Application classes, in the paper's order (§III-D).

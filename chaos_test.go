@@ -81,7 +81,8 @@ func tracedRun(t *testing.T, seed uint64, workers int, fspec string) (jsonl, ser
 	reg.SetClock(backscatter.TickClock(1))
 	reg.SetWindow(backscatter.NewWindow(6 * 3600))
 	spec := seedMatrixSpec(seed, workers, fspec).WithTracing(4)
-	ds := backscatter.BuildObserved(spec, reg)
+	spec.Obs = reg
+	ds := backscatter.Build(spec)
 	tr := ds.Tracer()
 	if tr == nil {
 		t.Fatalf("seed=%d workers=%d: WithTracing(4) built no tracer", seed, workers)
@@ -168,12 +169,12 @@ func TestChaosSchedulesDivergeBySeed(t *testing.T) {
 	}
 }
 
-// TestChaosBadSpecPanics pins BuildObserved's contract for a malformed
+// TestChaosBadSpecPanics pins Build's contract for a malformed
 // faults spec: a panic naming the problem, not a silent no-fault run.
 func TestChaosBadSpecPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("BuildObserved accepted an unknown fault profile")
+			t.Error("Build accepted an unknown fault profile")
 		}
 	}()
 	spec := seedMatrixSpec(1, 1, "no-such-profile@1")

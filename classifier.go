@@ -57,13 +57,13 @@ func (d *Dataset) TrainClassifier(votes int) (*Model, error) {
 }
 
 // TrainWith trains a specific algorithm on the given labels. On datasets
-// built with BuildObserved, training and later ClassifyAll calls record
-// into the dataset's registry as the "train" and "classify" stages.
+// built with a registry (Spec.Obs), training and later ClassifyAll calls
+// record into it as the "train" and "classify" stages.
 func (d *Dataset) TrainWith(alg Algorithm, votes int, labels *LabeledSet) (*Model, error) {
 	p := classify.NewPipeline()
 	p.Trainer = alg.Trainer()
-	p.Obs = d.obs
-	p.Acct = d.acct
+	p.Obs = d.Spec.Obs
+	p.Acct = d.Spec.Acct
 	p.Workers = d.Spec.Workers
 	if votes > 1 {
 		p.Votes = votes
@@ -86,8 +86,8 @@ func (d *Dataset) Validate(alg Algorithm, trainFrac float64, runs int) (ml.Valid
 		TrainFrac: trainFrac,
 		Runs:      runs,
 		Workers:   d.Spec.Workers,
-		Obs:       d.obs,
-		Acct:      d.acct,
+		Obs:       d.Spec.Obs,
+		Acct:      d.Spec.Acct,
 	}
 	return v.Run(ds, st), nil
 }
@@ -102,7 +102,7 @@ func (d *Dataset) FeatureImportance(k int) ([]string, []float64, error) {
 		return nil, nil, err
 	}
 	st := rng.NewSource(d.Spec.Seed).Stream("importance")
-	cfg := ml.ForestConfig{Trees: 100, Workers: d.Spec.Workers, Obs: d.obs, Acct: d.acct}
+	cfg := ml.ForestConfig{Trees: 100, Workers: d.Spec.Workers, Obs: d.Spec.Obs, Acct: d.Spec.Acct}
 	forest := ml.Forest{Config: cfg}.TrainForest(ds, st)
 	names := FeatureNames()
 	var outNames []string

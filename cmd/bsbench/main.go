@@ -20,10 +20,10 @@
 // excluding any file the same run writes with -o. The Makefile gates use
 // it so recording a new trajectory automatically retargets the diff.
 //
-// Allocation metrics (B/op, allocs/op) gate at -tolerance (default 15%):
-// they are near-deterministic, so a breach is a real regression. Wall
-// time gates at the looser -time-tolerance (default 100%), loose enough
-// that shared-runner noise does not fail CI but a genuine blow-up does.
+// Allocation metrics (B/op, allocs/op) gate at 15% growth: they are
+// near-deterministic, so a breach is a real regression. Wall time gates
+// at the looser 100%, loose enough that shared-runner noise does not
+// fail CI but a genuine blow-up does.
 // Benchmarks present on only one side are never silently dropped: each
 // is logged, and the summary line carries the skip count.
 //
@@ -31,9 +31,8 @@
 // path that allocates 12 KB/op one run and 48 KB/op the next (scratch
 // warm-up landed on its op) has "regressed 300%" while the absolute
 // movement is noise at dataset scale. Deltas below the absolute noise
-// floors — -min-bytes-delta (1 MiB), -min-allocs-delta (512),
-// -min-ns-delta (1 s) — are therefore ignored; alloc.budgets still
-// bounds every small benchmark absolutely.
+// floors — 1 MiB, 512 allocs and 1 s — are therefore ignored;
+// alloc.budgets still bounds every small benchmark absolutely.
 package main
 
 import (
@@ -68,6 +67,15 @@ func (r regression) String() string {
 type floors struct {
 	bytes, allocs, ns float64
 }
+
+// The gate's settings: allowed fractional growth in allocation metrics
+// and in wall time, and the absolute noise floors.
+const (
+	allocTolerance = 0.15
+	timeTolerance  = 1.0
+)
+
+var noiseFloors = floors{bytes: 1 << 20, allocs: 512, ns: 1e9}
 
 // compare diffs current against a reference trajectory. Benchmarks
 // present on only one side are reported in skipped (renames and new
@@ -162,11 +170,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	out := fs.String("o", "", "write parsed results as JSON to this file (stdout JSON when empty)")
 	workers := fs.Int("workers", 0, "stamp this pipeline worker count into every result (0 = omit)")
 	against := fs.String("against", "", "reference trajectory JSON to diff the current run against; regressions beyond tolerance exit nonzero")
-	tolerance := fs.Float64("tolerance", 0.15, "allowed fractional growth in B/op and allocs/op before -against fails")
-	timeTolerance := fs.Float64("time-tolerance", 1.0, "allowed fractional growth in ns/op before -against fails (loose: wall time is noisy)")
-	minBytes := fs.Float64("min-bytes-delta", 1<<20, "absolute B/op growth below which a relative regression is noise")
-	minAllocs := fs.Float64("min-allocs-delta", 512, "absolute allocs/op growth below which a relative regression is noise")
-	minNs := fs.Float64("min-ns-delta", 1e9, "absolute ns/op growth below which a relative regression is noise")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -222,8 +225,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "bsbench:", err)
 		return 2
 	}
-	regs, skipped, shared := compare(reference, results, *tolerance, *timeTolerance,
-		floors{bytes: *minBytes, allocs: *minAllocs, ns: *minNs})
+	regs, skipped, shared := compare(reference, results, allocTolerance, timeTolerance, noiseFloors)
 	for _, s := range skipped {
 		fmt.Fprintln(stderr, "bsbench: skipped:", s)
 	}

@@ -110,10 +110,10 @@ func TestRunAgainst(t *testing.T) {
 		t.Errorf("stderr lacks the all-clear: %s", stderr)
 	}
 
-	// The toy numbers sit under the default noise floors, so pin the
-	// floor to zero to exercise the relative gate itself.
-	regressed := strings.Replace(benchOutput, "1000 B/op", "2000 B/op", 1)
-	code, _, stderr = runBsbench(t, regressed, "-against", refPath, "-min-bytes-delta", "0")
+	// A B/op growth past the 1 MiB noise floor exercises the relative
+	// gate itself.
+	regressed := strings.Replace(benchOutput, "1000 B/op", "2000000 B/op", 1)
+	code, _, stderr = runBsbench(t, regressed, "-against", refPath)
 	if code != 1 {
 		t.Fatalf("exit %d on regressed run, want 1; stderr=%s", code, stderr)
 	}

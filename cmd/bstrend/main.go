@@ -45,7 +45,9 @@ func main() {
 	// JSON document rather than a recount of the campaign list.
 	reg := backscatter.NewRegistry()
 	reg.SetWindow(backscatter.NewWindow(spec.Interval))
-	d := backscatter.BuildObserved(spec.Scaled(*scale), reg)
+	spec = spec.Scaled(*scale)
+	spec.Obs = reg
+	d := backscatter.Build(spec)
 
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()

@@ -19,7 +19,8 @@ func artifacts(t *testing.T, dir string) (tsPath, trPath string) {
 	reg.SetWindow(backscatter.NewWindow(450))
 	spec := backscatter.JPDitl().Scaled(0.05).WithFaults("servfail-storm@1").WithTracing(4)
 	spec.MinQueriers = 10
-	ds := backscatter.BuildObserved(spec, reg)
+	spec.Obs = reg
+	ds := backscatter.Build(spec)
 
 	tsPath = filepath.Join(dir, "timeseries.json")
 	if err := os.WriteFile(tsPath, reg.Window().SnapshotJSON(), 0o644); err != nil {

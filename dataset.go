@@ -98,6 +98,19 @@ type DatasetSpec struct {
 	// Evaluation is clocked purely by simulated time, so the transition
 	// log is byte-identical at any worker count.
 	Alerts string
+
+	// Obs, when non-nil, is the observability registry the build and
+	// every later pipeline run on the dataset record into. With a
+	// deterministic clock (TickClock) its snapshot is a pure function of
+	// the rest of the spec. Nil records nothing.
+	Obs *obs.Registry
+
+	// Acct, when non-nil, accumulates per-stage resource accounting
+	// (alloc deltas, GC cycles, goroutine and worker peaks) for the
+	// pipeline stages. Its readings depend on scheduling and GC timing,
+	// so they reach only Dataset.Resources, never the deterministic
+	// snapshot, traces, or time series. Nil accounts nothing.
+	Acct *prof.Accountant
 }
 
 // Scaled returns a copy with populations and rates multiplied by f — the
@@ -304,10 +317,8 @@ type Dataset struct {
 	Labels *groundtruth.LabeledSet
 
 	whole      *Snapshot
-	obs        *obs.Registry    // non-nil when built with BuildObserved
-	tracer     *trace.Tracer    // non-nil when built with tracing enabled
-	acct       *prof.Accountant // non-nil when built with BuildInstrumented
-	alertRules []alert.Rule     // parsed from Spec.Alerts, nil when disabled
+	tracer     *trace.Tracer // non-nil when built with tracing enabled
+	alertRules []alert.Rule  // parsed from Spec.Alerts, nil when disabled
 
 	truthOnce sync.Once
 	truth     map[Addr]Class
@@ -325,41 +336,14 @@ func heartbleedBurst(scanPop int) world.Burst {
 	}
 }
 
-// Build simulates the dataset. Large specs (M-sampled, B-multi-year) take
-// tens of seconds; use Scaled for tests.
-func Build(spec DatasetSpec) *Dataset { return BuildObserved(spec, nil) }
-
-// BuildObserved is Build with an observability registry attached: the
-// world, hierarchy, resolver caches, and the Figure 2 pipeline stages
-// (dedup/filter/extract, and classify via TrainClassifier) all record
-// into reg, and later pipeline runs on this dataset keep recording. A nil
-// reg is exactly Build. With a deterministic clock (TickClock), the full
-// snapshot is a pure function of the spec. When spec.Trace > 0 a tracer
-// is created from spec.Seed automatically (see BuildTraced).
-func BuildObserved(spec DatasetSpec, reg *obs.Registry) *Dataset {
-	return BuildTraced(spec, reg, nil)
-}
-
-// BuildTraced is BuildObserved with an explicit tracer: every simulated
-// lookup threads through tr (activity annotation, cache hits, per-level
-// hops, faults, sensor taps) and the pipeline stages annotate record
-// provenance. A nil tr creates one from spec.Seed when spec.Trace > 0;
-// pass a pre-configured tracer to control ring capacity (SetMax) before
-// the build commits traces.
-func BuildTraced(spec DatasetSpec, reg *obs.Registry, tr *trace.Tracer) *Dataset {
-	return BuildInstrumented(spec, reg, tr, nil)
-}
-
-// BuildInstrumented is BuildTraced with a resource accountant attached:
-// the Figure 2 pipeline stages (dedup, filter, extract, and train /
-// validate / classify through TrainClassifier and friends) accumulate
-// per-stage resource accounting — alloc deltas, GC cycles, goroutine
-// and pool-worker high-water marks — into acct. The accountant is the
-// repository's *ops* channel: its readings depend on scheduling and GC
-// timing, so they are reported only via Resources(), never folded into
-// the deterministic obs snapshot, traces, or time series. A nil acct is
-// exactly BuildTraced.
-func BuildInstrumented(spec DatasetSpec, reg *obs.Registry, tr *trace.Tracer, acct *prof.Accountant) *Dataset {
+// Build simulates the dataset and runs the Figure 2 pipeline over it.
+// Large specs (M-sampled, B-multi-year) take tens of seconds; use Scaled
+// for tests. With spec.Obs set, the world, hierarchy, resolver caches
+// and pipeline stages record into that registry (and later pipeline runs
+// on the dataset keep recording); with spec.Trace > 0, lookups and
+// records are traced; with spec.Acct set, stages account their resource
+// use on the ops channel. A malformed Faults or Alerts spec panics.
+func Build(spec DatasetSpec) *Dataset {
 	if spec.Scale <= 0 {
 		spec.Scale = 1
 	}
@@ -415,14 +399,15 @@ func BuildInstrumented(spec DatasetSpec, reg *obs.Registry, tr *trace.Tracer, ac
 	}
 
 	w := world.New(cfg)
-	w.SetMetrics(reg)
-	if tr == nil && spec.Trace > 0 {
+	w.SetMetrics(spec.Obs)
+	var tr *trace.Tracer
+	if spec.Trace > 0 {
 		tr = trace.New(spec.Seed, uint64(spec.Trace))
 	}
 	w.SetTracer(tr)
 	w.Run()
 
-	d := &Dataset{Spec: spec, World: w, obs: reg, tracer: tr, acct: acct, alertRules: alertRules}
+	d := &Dataset{Spec: spec, World: w, tracer: tr, alertRules: alertRules}
 	switch spec.Authority {
 	case "jp":
 		d.Records = w.National["jp"].Records()
@@ -435,9 +420,9 @@ func BuildInstrumented(spec DatasetSpec, reg *obs.Registry, tr *trace.Tracer, ac
 	}
 
 	d.Extractor = features.NewExtractor(w.Geo, w.QuerierName)
-	d.Extractor.Obs = reg
+	d.Extractor.Obs = spec.Obs
 	d.Extractor.Tracer = tr
-	d.Extractor.Acct = acct
+	d.Extractor.Acct = spec.Acct
 	d.Extractor.Workers = spec.Workers
 	d.Extractor.NoReuse = spec.NoReuse
 	if spec.MinQueriers > 0 {
@@ -505,13 +490,3 @@ func (d *Dataset) ReverseQueries() uint64 {
 
 // LogRecord re-exports dnslog parsing for tools.
 func LogRecord(line string) (Record, error) { return dnslog.ParseRecord(line) }
-
-// NewStreamExtractor returns a bounded-memory streaming extractor wired to
-// this dataset's geo registry and querier-name source. Feed records with
-// Observe and call Snapshot at interval boundaries; vectors are
-// approximate (HLL footprints, sampled statics) but classifier-compatible.
-func (d *Dataset) NewStreamExtractor() *StreamExtractor {
-	x := features.NewStreamExtractor(d.World.Geo, d.World.QuerierName)
-	x.MinQueriers = d.Extractor.MinQueriers
-	return x
-}

@@ -36,7 +36,9 @@ func pipelineRun(t *testing.T, seed uint64, workers int, fspec string) (snapJSON
 	t.Helper()
 	reg := backscatter.NewRegistry()
 	reg.SetClock(backscatter.TickClock(1))
-	ds := backscatter.BuildObserved(seedMatrixSpec(seed, workers, fspec), reg)
+	spec := seedMatrixSpec(seed, workers, fspec)
+	spec.Obs = reg
+	ds := backscatter.Build(spec)
 
 	model, err := ds.TrainClassifier(3)
 	if err != nil {

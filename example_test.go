@@ -72,22 +72,20 @@ func ExampleDatasetSpec_WithParallelism() {
 	// true true
 }
 
-// ExampleDataset_NewStreamExtractor feeds a dataset's records through the
-// bounded-memory streaming extractor — the operational alternative to
-// Extract when logs exceed memory — and snapshots approximate vectors.
-func ExampleDataset_NewStreamExtractor() {
+// ExampleDataset_NewStream feeds a dataset's records through the
+// bounded-memory streaming engine — the operational alternative to
+// Extract when logs exceed memory — and scores approximate vectors.
+func ExampleDataset_NewStream() {
 	spec := backscatter.JPDitl().Scaled(0.3)
 	spec.Duration = backscatter.Duration(12 * 3600)
 	spec.Interval = spec.Duration
 	spec.MinQueriers = 8
 	ds := backscatter.Build(spec)
 
-	x := ds.NewStreamExtractor()
-	for _, r := range ds.Records {
-		x.Observe(r)
-	}
-	vectors := x.Snapshot(spec.Start, spec.Duration)
-	fmt.Println(x.Tracked() > 0, len(vectors) > 10)
+	e := ds.NewStream(backscatter.StreamSpec{}, nil)
+	e.Ingest(ds.Records)
+	e.Tick(spec.Start.Add(spec.Duration))
+	fmt.Println(e.Tracked() > 0, len(e.Vectors()) > 10)
 	// Output:
 	// true true
 }

@@ -1,8 +1,8 @@
 // Streaming: run the sensor the way an operator would at the paper's real
 // volumes (Table I: billions of queries) — parse a wire-format capture
-// stream record by record through a bounded-memory extractor
-// (HyperLogLog footprints + bottom-k querier samples), then classify the
-// approximate vectors with a model trained on exact ones.
+// stream and feed it batch by batch through the bounded-memory streaming
+// engine (HyperLogLog footprints + bottom-k querier samples), which
+// classifies the approximate vectors with a model trained on exact ones.
 package main
 
 import (
@@ -28,19 +28,29 @@ func main() {
 	fmt.Printf("capture stream: %d records, %.1f MB\n",
 		len(ds.Records), float64(capture.Len())/(1<<20))
 
-	// Stream it through the bounded extractor.
-	stream := ds.NewStreamExtractor()
+	// The engine scores with a model trained on the curated labels — the
+	// approximate features must stay classifier-compatible.
+	model, err := ds.TrainClassifier(1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	engine := ds.NewStream(backscatter.StreamSpec{}, model)
+
+	// Stream the capture through the engine in batches, as a live sensor
+	// receives it, then score the whole window.
 	recs, err := backscatter.ReadCapture(&capture)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, r := range recs {
-		stream.Observe(r)
+	const batch = 4096
+	for i := 0; i < len(recs); i += batch {
+		engine.Ingest(recs[i:min(i+batch, len(recs))])
 	}
-	approx := stream.Snapshot(spec.Start, spec.Duration)
+	engine.Tick(spec.Start.Add(spec.Duration))
+	approx := engine.Vectors()
 	exact := ds.Whole().Vectors
 	fmt.Printf("originators: %d exact vs %d streamed (threshold ≥%d queriers)\n",
-		len(exact), len(approx), stream.MinQueriers)
+		len(exact), len(approx), ds.Extractor.MinQueriers)
 
 	// Footprint accuracy of the HLL estimates.
 	exactBy := make(map[backscatter.Addr]int)
@@ -66,17 +76,12 @@ func main() {
 			100*sum/float64(n), 100*worst)
 	}
 
-	// Classify the streamed vectors with a model trained on the curated
-	// labels — the approximate features must stay classifier-compatible.
-	model, err := ds.TrainClassifier(1)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// The engine's verdicts on the streamed vectors, against ground truth.
 	agree, scored := 0, 0
-	for _, v := range approx {
-		if truth, ok := ds.Truth(v.Originator); ok {
+	for a, c := range engine.Verdicts() {
+		if truth, ok := ds.Truth(a); ok {
 			scored++
-			if model.Classify(v) == truth {
+			if c == truth {
 				agree++
 			}
 		}
@@ -85,6 +90,9 @@ func main() {
 		fmt.Printf("classification of streamed vectors: %d/%d (%.0f%%) agree with ground truth\n",
 			agree, scored, 100*float64(agree)/float64(scored))
 	}
-	fmt.Println("\nthe streaming sensor holds fixed state per originator regardless of volume:")
-	fmt.Printf("  2 KB HLL + %d-querier sample + persistence bitset\n", stream.SampleK)
+	st := engine.Status()
+	fmt.Printf("\nthe streaming engine tracked %d of at most %d originators, each in fixed state:\n",
+		st.Tracked, st.MaxTracked)
+	fmt.Printf("  2 KB HLL + %d-querier sample + persistence counter\n",
+		backscatter.DefaultStreamSpec().SampleK)
 }

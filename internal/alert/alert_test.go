@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -494,4 +496,32 @@ func TestJSONLRoundTrip(t *testing.T) {
 			t.Errorf("round-tripped rule = %q", tr.Rule)
 		}
 	}
+}
+
+// FuzzAlertParse feeds arbitrary rule text to the parser, seeded from
+// the checked-in alerts.rules: it must never panic, parsing must be
+// deterministic, and an engine over any accepted rules must evaluate
+// without panicking.
+func FuzzAlertParse(f *testing.F) {
+	rules, err := os.ReadFile("../../alerts.rules")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(rules))
+	f.Add("alert a\n  expr window(x)\n  op >=\n  threshold 1\n")
+	f.Add("slo s\n  good g\n  bad b\n  objective 0.99\n  burn 2\n  short 60\n  long 3600\n")
+	f.Add("alert\n\tfor -1\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		got, err := Parse(src)
+		again, err2 := Parse(src)
+		if (err == nil) != (err2 == nil) || !reflect.DeepEqual(got, again) {
+			t.Fatalf("Parse is not deterministic on %q", src)
+		}
+		if err != nil {
+			return
+		}
+		New(got).Eval(Data{Series: obs.Timeseries{Width: 60, Series: []obs.Series{
+			mkSeries("x", [2]int64{0, 1}, [2]int64{60, 5}),
+		}}})
+	})
 }

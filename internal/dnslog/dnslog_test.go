@@ -2,6 +2,7 @@ package dnslog
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -244,4 +245,27 @@ func BenchmarkDeduper(b *testing.B) {
 		r.Querier = ipaddr.Addr(i % 1000)
 		d.Keep(r)
 	}
+}
+
+// FuzzParseRecord feeds arbitrary lines to the real-log entry point: it
+// must return a record or ErrBadRecord, never panic, and any record it
+// accepts must survive a format-and-parse round trip unchanged.
+func FuzzParseRecord(f *testing.F) {
+	f.Add(string(rec(1397559600, "1.2.3.4", "10.0.0.1").AppendText(nil)))
+	f.Add("-5\t255.255.255.255\t0.0.0.0\t\t3")
+	f.Add("1\t1.2.3.4\t10.0.0.1\tjp")
+	f.Add("x\ty\tz\tjp\t0")
+	f.Fuzz(func(t *testing.T, line string) {
+		r, err := ParseRecord(line)
+		if err != nil {
+			if !errors.Is(err, ErrBadRecord) {
+				t.Fatalf("error %v does not wrap ErrBadRecord", err)
+			}
+			return
+		}
+		again, err := ParseRecord(string(r.AppendText(nil)))
+		if err != nil || again != r {
+			t.Fatalf("round trip of %q: %+v, %v; want %+v", line, again, err, r)
+		}
+	})
 }

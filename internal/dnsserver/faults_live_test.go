@@ -2,6 +2,7 @@ package dnsserver
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -130,15 +131,19 @@ func TestRecursorSurvivesLossyPath(t *testing.T) {
 	h := startHierarchy(t)
 	plan := faults.New(faults.Profile{Name: "lossy", Loss: 0.20}, 42)
 	reg := obs.NewRegistry()
+	// The server's drop draw is keyed by its clock's second, so on the
+	// wall clock retransmits inside one second share its fate and a short
+	// backoff may never leave it. Each server here reads a clock that
+	// steps one second per read, making every datagram its own loss draw
+	// as on a real lossy path — the independence the bound below assumes.
 	for _, s := range []*Server{h.root, h.national, h.final} {
 		s.SetFaults(plan)
+		var tick atomic.Int64
+		s.SetClock(func() simtime.Time { return simtime.Time(tick.Add(1)) })
 	}
 	h.final.SetMetrics(reg)
 
 	r := newRecursor(h)
-	// The server's drop draw is keyed by wall second, so retransmits
-	// inside one second share its fate; the backoff must span a second
-	// boundary for retries to help.
 	r.Client.Timeout = 120 * time.Millisecond
 	r.Client.Retries = 3
 	r.Client.Obs = reg

@@ -279,3 +279,30 @@ func TestProfilesHaveUniqueNames(t *testing.T) {
 		t.Fatal("missing a required built-in profile")
 	}
 }
+
+// FuzzFaultsParse feeds arbitrary specs to the "profile@seed" parser: it
+// must never panic, and any plan it returns must name a built-in
+// profile and reparse identically from its canonical spec.
+func FuzzFaultsParse(f *testing.F) {
+	for _, p := range Profiles() {
+		f.Add(p.Name)
+		f.Add(p.Name + "@42")
+	}
+	f.Add("")
+	f.Add("lossy@")
+	f.Add(" chaos @ 18446744073709551615")
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil || p == nil {
+			return
+		}
+		if _, ok := ProfileByName(p.Profile.Name); !ok {
+			t.Fatalf("%q: plan names unknown profile %q", spec, p.Profile.Name)
+		}
+		canon := p.Profile.Name + "@" + strconv.FormatUint(p.Seed, 10)
+		q, err := Parse(canon)
+		if err != nil || q.Profile.Name != p.Profile.Name || q.Seed != p.Seed {
+			t.Fatalf("%q: canonical %q reparsed as %+v, %v", spec, canon, q, err)
+		}
+	})
+}

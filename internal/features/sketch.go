@@ -14,10 +14,9 @@ import (
 // observation interval: the HLL footprint estimate, the exact
 // deduplicated query count, the distinct 10-minute persistence buckets,
 // and the bottom-k uniform sample of distinct queriers. It is the
-// hand-off type between sketch holders (the in-package StreamExtractor,
-// the sharded stream engine) and the shared vector computation below —
-// graduating the stream extractor's snapshot math into code both paths
-// share.
+// hand-off type between the sketch holder (the sharded stream engine,
+// internal/stream) and the vector computation below, which lives here
+// beside the batch extractor whose feature definitions it mirrors.
 type SketchStats struct {
 	Originator ipaddr.Addr
 	Estimate   int // HLL unique-querier estimate

@@ -6,8 +6,9 @@
 // dominates sensor memory. A 2^p-register HLL answers the only question
 // the pipeline asks of those sets — "how many unique queriers?" — in
 // fixed space with ~1.04/sqrt(2^p) relative error, comfortably inside the
-// ≥20-querier analyzability threshold's tolerance. The streaming extractor
-// uses it; the exact extractor remains the default for small datasets.
+// ≥20-querier analyzability threshold's tolerance. The streaming engine
+// (internal/stream) uses it; the exact extractor remains the default for
+// batch datasets.
 //
 // The package also provides BottomK, the KMV (k minimum values) distinct
 // sample that pairs with the HLL in every streaming aggregate: the HLL

@@ -140,13 +140,20 @@ func oracleBottomK(items []uint64, k int) []uint64 {
 // TestBottomKIsExactBottomK proves the sample is exactly the k distinct
 // items with the smallest hashes — the property that makes it a uniform
 // sample of the distinct set — across sizes, capacities, and seeds,
-// with heavy duplication in the stream.
+// with heavy duplication in the stream. A hot item fed 1,000 times
+// ahead of the stream (one querier hammering one originator) must hold
+// at most one slot: the sample is uniform over distinct items, not over
+// arrivals.
 func TestBottomKIsExactBottomK(t *testing.T) {
 	for _, k := range []int{1, 16, 256} {
 		for _, n := range []int{1, 10, 1000, 5000} {
 			for seed := uint64(1); seed <= 3; seed++ {
 				items := distinctStream(seed*31+uint64(n), n)
 				b := NewBottomK[uint64](k)
+				hot := items[0]
+				for range 1000 {
+					b.Add(Hash64(hot), hot)
+				}
 				for i, v := range items {
 					b.Add(Hash64(v), v)
 					// Replay every third item: duplicates must not
@@ -169,6 +176,15 @@ func TestBottomKIsExactBottomK(t *testing.T) {
 					if Hash64(vals[i]) != h {
 						t.Fatalf("Values order diverges from Hashes order at %d", i)
 					}
+				}
+				hotSlots := 0
+				for _, v := range vals {
+					if v == hot {
+						hotSlots++
+					}
+				}
+				if hotSlots > 1 {
+					t.Fatalf("k=%d n=%d seed=%d: hot item holds %d slots", k, n, seed, hotSlots)
 				}
 			}
 		}

@@ -138,15 +138,33 @@ func ints(w *wire, typ int, into []int64) ([]int64, error) {
 	return append(into, int64(v)), nil
 }
 
+// Parser bounds. Profiles arrive from files and from a server's profile
+// ring, so neither decompression nor stack expansion may grow without
+// limit. A stack entry is one (location, line) pair a sample names, so a
+// crafted profile that names one many-line location many times expands
+// quadratically in its size; real profiles expand to well under one
+// entry per byte.
+const (
+	// maxProfileBytes caps a profile's decompressed size.
+	maxProfileBytes = 16 << 20
+	// maxStackEntriesPerByte bounds the total stack entries of all
+	// samples by the decompressed size, plus minStackEntries of slack
+	// for tiny profiles.
+	maxStackEntriesPerByte = 4
+	minStackEntries        = 4096
+)
+
 // ParseProfile parses a pprof profile, transparently gunzipping (the
 // runtime writes profiles gzipped; debug=1 text forms are rejected).
+// Profiles that decompress past maxProfileBytes, or whose stacks expand
+// past maxStackEntriesPerByte entries per decompressed byte, are errors.
 func ParseProfile(data []byte) (*Profile, error) {
 	if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b {
 		zr, err := gzip.NewReader(bytes.NewReader(data))
 		if err != nil {
 			return nil, fmt.Errorf("prof: gunzip profile: %w", err)
 		}
-		raw, err := io.ReadAll(zr)
+		raw, err := io.ReadAll(io.LimitReader(zr, maxProfileBytes+1))
 		if cerr := zr.Close(); err == nil {
 			err = cerr
 		}
@@ -154,6 +172,9 @@ func ParseProfile(data []byte) (*Profile, error) {
 			return nil, fmt.Errorf("prof: gunzip profile: %w", err)
 		}
 		data = raw
+	}
+	if len(data) > maxProfileBytes {
+		return nil, fmt.Errorf("prof: profile larger than %d bytes", maxProfileBytes)
 	}
 
 	// First pass: collect raw messages and the string table.
@@ -328,6 +349,15 @@ func ParseProfile(data []byte) (*Profile, error) {
 			return ""
 		}
 		return strTab[i]
+	}
+
+	budget := maxStackEntriesPerByte*len(data) + minStackEntries
+	for _, rs := range samples {
+		for _, locID := range rs.locIDs {
+			if budget -= len(locLines[uint64(locID)]); budget < 0 {
+				return nil, fmt.Errorf("prof: stacks expand past %d entries per profile byte", maxStackEntriesPerByte)
+			}
+		}
 	}
 
 	p := &Profile{}

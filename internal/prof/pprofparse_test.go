@@ -3,15 +3,21 @@ package prof
 import (
 	"bytes"
 	"compress/gzip"
+	"flag"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"testing"
 )
 
 func TestMain(m *testing.M) {
 	// Sample every allocation so the real-heap-profile tests see their
-	// workload deterministically; set before any test allocates.
-	runtime.MemProfileRate = 1
+	// workload deterministically; set before any test allocates. Fuzzing
+	// skips it: profiling every allocation slows each exec 20-fold.
+	flag.Parse()
+	if flag.Lookup("test.fuzz").Value.String() == "" {
+		runtime.MemProfileRate = 1
+	}
 	m.Run()
 }
 
@@ -239,6 +245,89 @@ func TestParseProfileErrors(t *testing.T) {
 	if _, err := ParseProfile(empty.Bytes()); err == nil {
 		t.Error("profile without sample types parsed")
 	}
+}
+
+// expansionBomb is a 20 KB profile whose single sample names one
+// 4,000-line location 4,000 times: 16M stack entries if expanded.
+func expansionBomb() []byte {
+	var st, fn, line, loc, locIDs, sample, p pbuf
+	st.tag(1, 0)
+	st.varint(1)
+	st.tag(2, 0)
+	st.varint(2)
+	fn.tag(1, 0)
+	fn.varint(1)
+	fn.tag(2, 0)
+	fn.varint(3)
+	line.tag(1, 0)
+	line.varint(1)
+	loc.tag(1, 0)
+	loc.varint(1)
+	for range 4000 {
+		loc.msg(4, line.Bytes())
+	}
+	for range 4000 {
+		locIDs.varint(1)
+	}
+	sample.msg(1, locIDs.Bytes())
+	sample.tag(2, 0)
+	sample.varint(1)
+	p.msg(1, st.Bytes())
+	p.msg(2, sample.Bytes())
+	p.msg(4, loc.Bytes())
+	p.msg(5, fn.Bytes())
+	for _, s := range []string{"", "alloc_objects", "count", "pkg.leaf"} {
+		p.msg(6, []byte(s))
+	}
+	return p.Bytes()
+}
+
+// TestParseProfileBounds pins the parser's resource bounds: a profile
+// whose stacks expand quadratically in its size, and a gzip stream that
+// decompresses past the size cap, both fail instead of exhausting
+// memory.
+func TestParseProfileBounds(t *testing.T) {
+	bomb := expansionBomb()
+	if len(bomb) > 24<<10 {
+		t.Fatalf("expansion bomb is %d bytes, want about 20 KB", len(bomb))
+	}
+	if _, err := ParseProfile(bomb); err == nil || !strings.Contains(err.Error(), "expand") {
+		t.Errorf("expansion bomb: err = %v, want an expansion bound error", err)
+	}
+
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if _, err := zw.Write(make([]byte, maxProfileBytes+1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseProfile(buf.Bytes()); err == nil || !strings.Contains(err.Error(), "larger than") {
+		t.Errorf("gzip bomb: err = %v, want a size cap error", err)
+	}
+}
+
+// FuzzParseProfile feeds arbitrary bytes to the parser: it must return
+// a profile or an error, never panic, and never expand stacks past the
+// bound.
+func FuzzParseProfile(f *testing.F) {
+	f.Add(syntheticProfile())
+	f.Add(expansionBomb())
+	f.Add([]byte{0x1f, 0x8b})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ParseProfile(data)
+		if err != nil || (len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b) {
+			return // the bound below is on uncompressed input
+		}
+		n := 0
+		for _, s := range p.Samples {
+			n += len(s.Stack)
+		}
+		if n > maxStackEntriesPerByte*len(data)+minStackEntries {
+			t.Fatalf("%d stack entries from %d input bytes", n, len(data))
+		}
+	})
 }
 
 // TestTypeIndexMiss pins the absent-type contract.

@@ -26,7 +26,7 @@ type Store struct {
 	// controlled scans of Figure 4).
 	Heavy bool
 	// Obs, when non-nil, attaches this registry to every dataset the
-	// store builds (BuildObserved), so one bsrepro run accumulates
+	// store builds (DatasetSpec.Obs), so one bsrepro run accumulates
 	// world, cache, and pipeline-stage metrics across experiments. Set
 	// it before the first Get.
 	Obs *backscatter.Registry
@@ -43,7 +43,7 @@ type Store struct {
 	// N keeps the deterministic 1/N. Set it before the first Get.
 	Trace int
 	// Acct, when non-nil, attaches this resource accountant to every
-	// dataset the store builds (BuildInstrumented), so one bsrepro run
+	// dataset the store builds (DatasetSpec.Acct), so one bsrepro run
 	// accumulates per-stage resource accounting across experiments on
 	// the ops channel. Set it before the first Get.
 	Acct *backscatter.Accountant
@@ -67,9 +67,9 @@ func (s *Store) Get(spec backscatter.DatasetSpec) *backscatter.Dataset {
 	if d, ok := s.ds[spec.Name]; ok {
 		return d
 	}
-	d := backscatter.BuildInstrumented(
-		spec.Scaled(s.Scale).WithParallelism(s.Workers).WithFaults(s.Faults).WithTracing(s.Trace),
-		s.Obs, nil, s.Acct)
+	spec = spec.Scaled(s.Scale).WithParallelism(s.Workers).WithFaults(s.Faults).WithTracing(s.Trace)
+	spec.Obs, spec.Acct = s.Obs, s.Acct
+	d := backscatter.Build(spec)
 	s.ds[spec.Name] = d
 	return d
 }

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -293,6 +294,111 @@ func TestDedupWindow(t *testing.T) {
 	})
 	if got := e.Status().Kept; got != 2 {
 		t.Fatalf("kept = %d, want 2", got)
+	}
+}
+
+// batchRecs gives one originator nQueriers distinct queriers, each
+// querying queriesEach times 40 s apart (outside the 30 s dedup window).
+func batchRecs(orig string, nQueriers, queriesEach int) []dnslog.Record {
+	o := ipaddr.MustParse(orig)
+	var recs []dnslog.Record
+	t := simtime.Time(0)
+	for q := 0; q < nQueriers; q++ {
+		qa := ipaddr.FromOctets(10, byte(q/256), byte(q%256), byte(q%251))
+		for k := 0; k < queriesEach; k++ {
+			recs = append(recs, dnslog.Record{Time: t, Originator: o, Querier: qa, Authority: "jp"})
+			t = t.Add(40)
+		}
+	}
+	return recs
+}
+
+// TestMatchesBatchExtract replays inputs through the engine and through
+// the batch extractor over the same one-day window. The engine must
+// emit the same originators: none below MinQueriers. Its footprints
+// must sit within 10% of the exact ones, with equal query counts. Its
+// sampled static fractions must be within 0.12 of batch, and its global
+// entropy within 0.15.
+func TestMatchesBatchExtract(t *testing.T) {
+	cases := []struct {
+		name string
+		recs []dnslog.Record
+		want int // vectors emitted
+	}{
+		{"two originators", append(batchRecs("1.2.3.4", 500, 2), batchRecs("5.6.7.8", 80, 3)...), 2},
+		{"one wide originator", batchRecs("1.2.3.4", 400, 1), 1},
+		{"below threshold", batchRecs("1.2.3.4", 5, 1), 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(2)
+			cfg.SampleK = 256
+			cfg.Epoch = simtime.Day
+			e := New(cfg)
+			e.Ingest(tc.recs)
+			e.Tick(simtime.Time(simtime.Day))
+			sv := e.Vectors()
+
+			batch := features.NewExtractor(cfg.Geo, testNames)
+			batch.MinQueriers = cfg.MinQueriers
+			bv := batch.Extract(tc.recs, 0, simtime.Day)
+			if len(sv) != tc.want || len(bv) != tc.want {
+				t.Fatalf("stream %d vs batch %d vectors, want %d", len(sv), len(bv), tc.want)
+			}
+			for i := range bv {
+				b, s := bv[i], sv[i]
+				if b.Originator != s.Originator {
+					t.Fatalf("vector %d: originator %v vs batch %v", i, s.Originator, b.Originator)
+				}
+				rel := math.Abs(float64(s.Queriers-b.Queriers)) / float64(b.Queriers)
+				if rel > 0.10 {
+					t.Errorf("%v: footprint %d vs exact %d (%.1f%% off)", b.Originator, s.Queriers, b.Queriers, 100*rel)
+				}
+				if s.Queries != b.Queries {
+					t.Errorf("%v: queries %d vs batch %d", b.Originator, s.Queries, b.Queries)
+				}
+				for f := 0; f < features.NumStatic; f++ {
+					if math.Abs(s.X[f]-b.X[f]) > 0.12 {
+						t.Errorf("%v: static %d %.2f vs batch %.2f", b.Originator, f, s.X[f], b.X[f])
+					}
+				}
+				se, be := s.Dynamic(features.DynGlobalEntropy), b.Dynamic(features.DynGlobalEntropy)
+				if math.Abs(se-be) > 0.15 {
+					t.Errorf("%v: global entropy %.2f vs batch %.2f", b.Originator, se, be)
+				}
+			}
+		})
+	}
+}
+
+// TestEvictionKeepsLargest floods a small engine with one-querier
+// originators after one wide originator: eviction must drop the tail,
+// never the originator that matters.
+func TestEvictionKeepsLargest(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.MaxOriginators = 64
+	e := New(cfg)
+	st := rng.New(3)
+	big := ipaddr.MustParse("9.9.9.9")
+	var recs []dnslog.Record
+	for q := 0; q < 300; q++ {
+		recs = append(recs, dnslog.Record{Time: simtime.Time(q * 10), Originator: big,
+			Querier: ipaddr.Addr(st.Uint64())})
+	}
+	for o := 0; o < 500; o++ {
+		recs = append(recs, dnslog.Record{Time: simtime.Time(3000 + o), Originator: ipaddr.Addr(st.Uint64()),
+			Querier: ipaddr.Addr(st.Uint64())})
+	}
+	e.Ingest(recs)
+	e.Tick(simtime.Time(simtime.Hour))
+	if got, max := e.Tracked(), e.MaxTracked(); got > max {
+		t.Fatalf("tracked %d originators, bound %d", got, max)
+	}
+	if e.Status().Evictions == 0 {
+		t.Fatal("flood produced no evictions")
+	}
+	if vs := e.Vectors(); len(vs) != 1 || vs[0].Originator != big {
+		t.Fatalf("vectors %v, want only the wide originator %v", vs, big)
 	}
 }
 

@@ -26,7 +26,8 @@ func reuseRun(t *testing.T, seed uint64, workers int, noReuse bool) (snapJSON, j
 	if noReuse {
 		spec = spec.WithoutScratchReuse()
 	}
-	ds := backscatter.BuildObserved(spec, reg)
+	spec.Obs = reg
+	ds := backscatter.Build(spec)
 	tr := ds.Tracer()
 	if tr == nil {
 		t.Fatalf("seed=%d workers=%d: WithTracing(4) built no tracer", seed, workers)

@@ -7,7 +7,7 @@ import (
 )
 
 // Observability re-exports, so tools and library users reach the obs layer
-// without importing internal packages. See BuildObserved for attaching a
+// without importing internal packages. Set DatasetSpec.Obs to attach a
 // registry to a simulated dataset.
 type (
 	// Registry collects labeled counters, gauges, histograms, and
@@ -31,12 +31,8 @@ func TickClock(step Duration) obs.Clock { return obs.TickClock(step) }
 // do not apply.
 func WallClock() obs.Clock { return simtime.Wall }
 
-// Metrics returns the registry this dataset records into, or nil when the
-// dataset was built without one (plain Build).
-func (d *Dataset) Metrics() *Registry { return d.obs }
-
-// Tracing re-exports, mirroring the obs aliases above. See BuildTraced
-// and DatasetSpec.Trace for attaching a tracer to a simulated dataset.
+// Tracing re-exports, mirroring the obs aliases above. Set
+// DatasetSpec.Trace to attach a tracer to a simulated dataset.
 type (
 	// Tracer records deterministic end-to-end lookup traces; every
 	// method on a nil Tracer is a no-op, so tracing costs one nil check

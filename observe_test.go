@@ -19,7 +19,8 @@ func buildObservedRun(t *testing.T) *Registry {
 	spec.Duration = Duration(24 * 3600)
 	spec.Interval = spec.Duration
 	spec.MinQueriers = 10
-	ds := BuildObserved(spec, reg)
+	spec.Obs = reg
+	ds := Build(spec)
 	model, err := ds.TrainClassifier(1)
 	if err != nil {
 		t.Fatal(err)
@@ -65,9 +66,9 @@ func TestPipelineStageSpans(t *testing.T) {
 	}
 }
 
-// TestBuildObservedCounters sanity-checks that the counters a live /metrics
+// TestBuildCounters sanity-checks that the counters a live /metrics
 // endpoint would serve line up with the dataset's own accounting.
-func TestBuildObservedCounters(t *testing.T) {
+func TestBuildCounters(t *testing.T) {
 	reg := buildObservedRun(t)
 	snap := string(reg.Snapshot())
 	get := func(name string, labels ...Label) uint64 {

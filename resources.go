@@ -9,7 +9,7 @@ import (
 // readings (alloc deltas, GC cycles, goroutine and worker peaks) depend
 // on scheduling and GC timing — they travel on a separate ops channel
 // (Resources / ResourceReport) and never enter snapshots, traces, or
-// time series. See BuildInstrumented for attaching an accountant to a
+// time series. Set DatasetSpec.Acct to attach an accountant to a
 // simulated dataset.
 type (
 	// Accountant accumulates per-stage resource accounting for the
@@ -23,18 +23,14 @@ type (
 	StageStats = prof.StageStats
 )
 
-// NewAccountant returns an empty resource accountant; attach it with
-// BuildInstrumented.
+// NewAccountant returns an empty resource accountant; attach it through
+// DatasetSpec.Acct.
 func NewAccountant() *Accountant { return prof.New() }
 
 // Resources snapshots the per-stage resource accounting recorded so far
-// on this dataset's accountant. Without BuildInstrumented the report is
+// on this dataset's accountant (Spec.Acct). Without one the report is
 // empty.
-func (d *Dataset) Resources() ResourceReport { return d.acct.Report() }
-
-// Accountant returns the accountant this dataset records into, or nil
-// when the dataset was built without one.
-func (d *Dataset) Accountant() *Accountant { return d.acct }
+func (d *Dataset) Resources() ResourceReport { return d.Spec.Acct.Report() }
 
 // StableGoroutines reports the goroutine count after letting background
 // goroutines wind down (cooperative yields only — no wall-clock waits),

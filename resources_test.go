@@ -19,7 +19,8 @@ func instrumentedRun(t *testing.T, acct *backscatter.Accountant) (snap, jsonl, s
 	reg.SetClock(backscatter.TickClock(1))
 	reg.SetWindow(backscatter.NewWindow(6 * 3600))
 	spec := seedMatrixSpec(7, 4, "lossy@1").WithTracing(4)
-	ds := backscatter.BuildInstrumented(spec, reg, nil, acct)
+	spec.Obs, spec.Acct = reg, acct
+	ds := backscatter.Build(spec)
 	m, err := ds.TrainClassifier(3)
 	if err != nil {
 		t.Fatalf("train: %v", err)
@@ -77,7 +78,7 @@ func TestResourcesReport(t *testing.T) {
 	}
 
 	plain := backscatter.Build(seedMatrixSpec(7, 1, ""))
-	if plain.Accountant() != nil {
+	if plain.Spec.Acct != nil {
 		t.Error("plain Build attached an accountant")
 	}
 	if got := plain.Resources(); len(got.Stages) != 0 {

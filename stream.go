@@ -81,8 +81,8 @@ func (d *Dataset) NewStream(spec StreamSpec, scorer StreamScorer) *StreamEngine 
 		DedupSlots:     spec.DedupSlots,
 		Seed:           d.Spec.Seed,
 		Workers:        workers,
-		Obs:            d.obs,
-		Acct:           d.acct,
+		Obs:            d.Spec.Obs,
+		Acct:           d.Spec.Acct,
 	})
 }
 
