@@ -64,10 +64,10 @@ cover:
 	@rm -f cover-packages.txt
 
 # Short fuzz smoke on every parser of outside input — the wire codec,
-# log lines, alert rule files, fault specs, pprof profiles — and on the
-# streaming engine: ten seconds per target. Crashers land in the
-# package's testdata/fuzz/ and from then on run as plain regression
-# tests on every `go test`.
+# log lines, alert rule files, fault specs, pprof profiles, benchmark
+# output — and on the streaming engine: ten seconds per target. Crashers
+# land in the package's testdata/fuzz/ and from then on run as plain
+# regression tests on every `go test`.
 fuzz:
 	$(GO) test ./internal/dnswire -run '^$$' -fuzz FuzzDecode -fuzztime 10s
 	$(GO) test ./internal/dnswire -run '^$$' -fuzz FuzzRoundTrip -fuzztime 10s
@@ -76,6 +76,7 @@ fuzz:
 	$(GO) test ./internal/alert -run '^$$' -fuzz FuzzAlertParse -fuzztime 10s
 	$(GO) test ./internal/faults -run '^$$' -fuzz FuzzFaultsParse -fuzztime 10s
 	$(GO) test ./internal/prof -run '^$$' -fuzz FuzzParseProfile -fuzztime 10s
+	$(GO) test ./internal/benchparse -run '^$$' -fuzz FuzzBenchparse -fuzztime 10s
 
 # Run every example program end to end (the build only compiles them).
 examples:

@@ -136,6 +136,45 @@ type Campaign struct {
 	seed    uint64
 	recent  []ipaddr.Addr // ring of recent targets for repeat touches
 	recentN int
+
+	slots *slotTable // per-slot rate table, built on first EventsIn
+	st    rng.Stream // per-slot stream, reseeded in place for each slot
+}
+
+// slotsPerDay is the number of event slots in a day. rate depends on a
+// slot's start only through its hour of day, so one day's worth of slot
+// rates serves every day.
+const slotsPerDay = int64(simtime.Day / slot)
+
+// slotTable caches each slot-of-day's Poisson mean λ and e^{-λ}. The
+// entries are computed with the same expressions as rate and poisson, so
+// they are bit-equal to what those would return per slot. key records the
+// exported fields the rates derive from; callers may change them after
+// NewCampaign, and a changed key rebuilds the table.
+type slotTable struct {
+	key    [3]float64 // TouchesPerHour, Diurnal, PeakHour
+	lambda [slotsPerDay]float64
+	expNeg [slotsPerDay]float64
+}
+
+// slotRates returns the campaign's slot table, (re)building it when the
+// rate parameters changed since it was last built.
+func (c *Campaign) slotRates() *slotTable {
+	key := [3]float64{c.TouchesPerHour, c.Diurnal, c.PeakHour}
+	if c.slots != nil && c.slots.key == key {
+		return c.slots
+	}
+	if c.slots == nil {
+		c.slots = new(slotTable)
+	}
+	tab := c.slots
+	tab.key = key
+	for i := range tab.lambda {
+		lambda := c.rate(simtime.Time(int64(i)*int64(slot))) / 6 // touches per 10 minutes
+		tab.lambda[i] = lambda
+		tab.expNeg[i] = math.Exp(-lambda)
+	}
+	return tab
 }
 
 // Seed fixes the campaign's private randomness. Campaigns constructed by
@@ -183,6 +222,8 @@ const slot = 10 * simtime.Minute
 // 10-minute slot gets a Poisson count at the modulated rate, with event
 // times spread uniformly inside the slot. The same campaign, seed, and
 // interval always produce identical events.
+//
+//bslint:hotpath
 func (c *Campaign) EventsIn(t0, t1 simtime.Time, pick TargetFunc, dst []Event) []Event {
 	if t1.Before(c.Start) || !c.End.After(t0) {
 		return dst
@@ -193,14 +234,19 @@ func (c *Campaign) EventsIn(t0, t1 simtime.Time, pick TargetFunc, dst []Event) [
 	if c.End.Before(t1) {
 		t1 = c.End
 	}
+	tab := c.slotRates()
+	st := &c.st
 	// Align to slot boundaries so interval splits reproduce identically.
 	first := int64(t0) / int64(slot)
 	last := (int64(t1) + int64(slot) - 1) / int64(slot)
 	for si := first; si < last; si++ {
 		slotStart := simtime.Time(si * int64(slot))
-		st := rng.New(hashSeed(c.seed, uint64(si)))
-		lambda := c.rate(slotStart) / 6 // touches per 10 minutes
-		n := poisson(st, lambda)
+		*st = *rng.New(hashSeed(c.seed, uint64(si)))
+		day := si % slotsPerDay
+		if day < 0 {
+			day += slotsPerDay
+		}
+		n := poissonExp(st, tab.lambda[day], tab.expNeg[day])
 		for e := 0; e < n; e++ {
 			t := slotStart.Add(simtime.Duration(st.Intn(int(slot))))
 			if t.Before(t0) || !t.Before(t1) {
@@ -240,6 +286,12 @@ func hashSeed(a, b uint64) uint64 {
 // poisson draws a Poisson(lambda) variate. Knuth's method below λ=30, a
 // rounded normal approximation above (simulation-grade accuracy).
 func poisson(st *rng.Stream, lambda float64) int {
+	return poissonExp(st, lambda, math.Exp(-lambda))
+}
+
+// poissonExp is poisson with e^{-lambda} supplied by the caller, so
+// EventsIn can take it from the slot table.
+func poissonExp(st *rng.Stream, lambda, expNeg float64) int {
 	if lambda <= 0 {
 		return 0
 	}
@@ -250,11 +302,10 @@ func poisson(st *rng.Stream, lambda float64) int {
 		}
 		return n
 	}
-	l := math.Exp(-lambda)
 	k, p := 0, 1.0
 	for {
 		p *= st.Float64()
-		if p <= l {
+		if p <= expNeg {
 			return k
 		}
 		k++

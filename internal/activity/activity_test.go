@@ -268,6 +268,102 @@ func TestPoissonMoments(t *testing.T) {
 	}
 }
 
+// referenceEventsIn is EventsIn as it was before the slot table: rate,
+// e^{-λ} and a fresh stream are computed for every slot. It is kept as
+// the oracle the table-driven kernel must match event for event.
+func referenceEventsIn(c *Campaign, t0, t1 simtime.Time, pick TargetFunc, dst []Event) []Event {
+	if t1.Before(c.Start) || !c.End.After(t0) {
+		return dst
+	}
+	if t0.Before(c.Start) {
+		t0 = c.Start
+	}
+	if c.End.Before(t1) {
+		t1 = c.End
+	}
+	first := int64(t0) / int64(slot)
+	last := (int64(t1) + int64(slot) - 1) / int64(slot)
+	for si := first; si < last; si++ {
+		slotStart := simtime.Time(si * int64(slot))
+		st := rng.New(hashSeed(c.seed, uint64(si)))
+		lambda := c.rate(slotStart) / 6
+		n := poisson(st, lambda)
+		for e := 0; e < n; e++ {
+			t := slotStart.Add(simtime.Duration(st.Intn(int(slot))))
+			if t.Before(t0) || !t.Before(t1) {
+				continue
+			}
+			dst = append(dst, Event{Time: t, Target: c.nextTarget(st, pick)})
+		}
+	}
+	return dst
+}
+
+// TestEventsInMatchesReference drives random campaigns through EventsIn
+// and the per-slot reference side by side and requires identical events.
+// The draws cover Diurnal 0 and above 1 (the negative-rate clamp), rates
+// past λ=30 (the normal branch), unaligned and negative interval ends,
+// and rate fields mutated between calls (the table must rebuild).
+func TestEventsInMatchesReference(t *testing.T) {
+	st := rng.New(2024)
+	for iter := 0; iter < 300; iter++ {
+		mk := func() *Campaign {
+			c := &Campaign{
+				Class:          Class(iter % int(NumClasses)),
+				Start:          simtime.Time(-int64(simtime.Days(3))),
+				End:            simtime.Time(int64(simtime.Days(3))),
+				TouchesPerHour: []float64{0, 0.3, 12, 120, 400}[iter%5],
+				RepeatProb:     0.4,
+				RepeatPool:     16,
+				GlobalBias:     0.5,
+				Diurnal:        []float64{0, 0.5, 1, 1.7}[iter%4],
+				PeakHour:       float64(iter%24) + 0.25,
+			}
+			c.Seed(uint64(iter) * 7919)
+			return c
+		}
+		got, ref := mk(), mk()
+		var ge, re []Event
+		for call := 0; call < 4; call++ {
+			t0 := simtime.Time(int64(st.Intn(int(simtime.Days(6)))) - int64(simtime.Days(3)))
+			t1 := t0.Add(simtime.Duration(st.Intn(int(simtime.Hours(30)))))
+			if call == 2 {
+				// Mutate the rate fields as the world does after NewCampaign.
+				scale := 0.1 + 2*st.Float64()
+				got.TouchesPerHour *= scale
+				ref.TouchesPerHour *= scale
+				got.PeakHour, ref.PeakHour = got.PeakHour+3, ref.PeakHour+3
+			}
+			ge = got.EventsIn(t0, t1, uniformPick, ge[:0])
+			re = referenceEventsIn(ref, t0, t1, uniformPick, re[:0])
+			if len(ge) != len(re) {
+				t.Fatalf("iter %d call %d [%v,%v): %d events, reference %d", iter, call, t0, t1, len(ge), len(re))
+			}
+			for i := range ge {
+				if ge[i] != re[i] {
+					t.Fatalf("iter %d call %d: event %d = %+v, reference %+v", iter, call, i, ge[i], re[i])
+				}
+			}
+		}
+	}
+}
+
+// TestEventsInNoAllocs pins the kernel's allocation contract: once the
+// slot table is built and the repeat ring is full, EventsIn into a dst
+// with room allocates nothing.
+func TestEventsInNoAllocs(t *testing.T) {
+	c := testCampaign()
+	c.RepeatPool = 8
+	dst := c.EventsIn(0, simtime.Time(simtime.Day), uniformPick, nil)
+	dst = make([]Event, 0, 2*cap(dst))
+	allocs := testing.AllocsPerRun(20, func() {
+		dst = c.EventsIn(0, simtime.Time(simtime.Day), uniformPick, dst[:0])
+	})
+	if allocs != 0 {
+		t.Errorf("warmed EventsIn allocates %v times per call, want 0", allocs)
+	}
+}
+
 func BenchmarkEventsDay(b *testing.B) {
 	c := testCampaign()
 	var buf []Event

@@ -1,9 +1,11 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 
 	"dnsbackscatter/internal/obs"
+	"dnsbackscatter/internal/rng"
 	"dnsbackscatter/internal/simtime"
 )
 
@@ -69,8 +71,12 @@ func TestOverwrite(t *testing.T) {
 	if e.Value != "new" {
 		t.Errorf("value = %q", e.Value)
 	}
-	if !c.entries[7].Expires.After(140) {
-		t.Error("overwrite did not refresh expiry")
+	// The first Put expired at 100; the overwrite must carry it to 150.
+	if e, ok := c.Get(7, 149); !ok || e.Expires != 150 {
+		t.Errorf("overwrite did not refresh expiry: %+v, %v", e, ok)
+	}
+	if _, ok := c.Get(7, 150); ok {
+		t.Error("overwritten entry outlived its new expiry")
 	}
 }
 
@@ -137,6 +143,171 @@ func TestFlush(t *testing.T) {
 	}
 }
 
+// TestMatchesMapModel runs random operation sequences against a plain map
+// holding the cache's documented semantics. Below capacity no eviction
+// happens, so every answer, Len and Stats must match the model exactly.
+func TestMatchesMapModel(t *testing.T) {
+	st := rng.New(11)
+	for round := 0; round < 50; round++ {
+		c := New(1 << 12)
+		model := map[uint64]Entry{}
+		var hits, misses, expired uint64
+		keySpace := 4 + st.Intn(600) // small spaces collide, large ones grow the table
+		now := simtime.Time(0)
+		for op := 0; op < 4000; op++ {
+			key := uint64(st.Intn(keySpace))
+			if st.Bool(0.3) {
+				key |= uint64(1+st.Intn(3)) << 40 // tier-tagged keys probe differently
+			}
+			now = now.Add(simtime.Duration(st.Intn(5)))
+			ttl := simtime.Duration(st.Intn(200)) - 20 // some <= 0: deletes
+			switch r := st.Intn(10); {
+			case r < 4:
+				got, ok := c.Get(key, now)
+				want, wok := model[key]
+				if wok && !now.Before(want.Expires) {
+					delete(model, key)
+					expired++
+					wok = false
+				}
+				if wok {
+					hits++
+				} else {
+					misses++
+					want = Entry{}
+				}
+				if ok != wok || got != want {
+					t.Fatalf("round %d op %d: Get(%#x, %v) = %+v, %v; model %+v, %v", round, op, key, now, got, ok, want, wok)
+				}
+			case r < 7:
+				c.Put(key, fmt.Sprint("v", op), ttl, now)
+				if ttl <= 0 {
+					delete(model, key)
+				} else {
+					model[key] = Entry{Value: fmt.Sprint("v", op), Expires: now.Add(ttl)}
+				}
+			case r < 9:
+				c.PutNegative(key, ttl, now)
+				if ttl <= 0 {
+					delete(model, key)
+				} else {
+					model[key] = Entry{Negative: true, Expires: now.Add(ttl)}
+				}
+			default:
+				if st.Bool(0.05) {
+					c.Flush()
+					clear(model)
+				}
+			}
+			if c.Len() != len(model) {
+				t.Fatalf("round %d op %d: Len = %d, model %d", round, op, c.Len(), len(model))
+			}
+		}
+		if h, m, e := c.Stats(); h != hits || m != misses || e != expired {
+			t.Fatalf("round %d: Stats = %d/%d/%d, model %d/%d/%d", round, h, m, e, hits, misses, expired)
+		}
+		// Every surviving model entry must still be reachable after all
+		// the backward-shift deletes.
+		for k, want := range model {
+			if got, ok := c.Get(k, want.Expires-1); !ok || got != want {
+				t.Fatalf("round %d: key %#x lost: %+v, %v; want %+v", round, k, got, ok, want)
+			}
+		}
+	}
+}
+
+// TestEvictionPolicy pins the deterministic victim choice: an expired
+// entry always goes before a live one, and a cache full of live entries
+// drops the one that expires earliest.
+func TestEvictionPolicy(t *testing.T) {
+	st := rng.New(12)
+	for round := 0; round < 200; round++ {
+		const max = 16
+		c := New(max)
+		expires := map[uint64]simtime.Time{}
+		keys := st.Perm(1000)
+		for _, k := range keys[:max] {
+			ttl := simtime.Duration(10 + st.Intn(1000))
+			c.Put(uint64(k), "v", ttl, 0)
+			expires[uint64(k)] = simtime.Time(ttl)
+		}
+		now := simtime.Time(st.Intn(400))
+		var nExpired int
+		earliest := uint64(0)
+		for k, e := range expires {
+			if !now.Before(e) {
+				nExpired++
+			}
+			if earliest == 0 || e < expires[earliest] || (e == expires[earliest] && k < earliest) {
+				earliest = k
+			}
+		}
+		newKey := uint64(keys[max])
+		c.Put(newKey, "new", 5000, now)
+		if c.Len() != max {
+			t.Fatalf("round %d: Len = %d after eviction, want %d", round, c.Len(), max)
+		}
+		_, _, expiredEvicted := c.Stats()
+		if nExpired > 0 {
+			if expiredEvicted != 1 {
+				t.Fatalf("round %d: %d entries expired but the victim was live", round, nExpired)
+			}
+			for k, e := range expires {
+				if now.Before(e) {
+					if _, ok := c.Get(k, now); !ok {
+						t.Fatalf("round %d: live key %d evicted while %d entries were expired", round, k, nExpired)
+					}
+				}
+			}
+			continue
+		}
+		if expiredEvicted != 0 {
+			t.Fatalf("round %d: no entry expired but an expired eviction was counted", round)
+		}
+		// Ties in expiry go by slot index, which the test cannot see; only
+		// check the victim when the earliest expiry is unique.
+		unique := true
+		for k, e := range expires {
+			if k != earliest && e == expires[earliest] {
+				unique = false
+			}
+		}
+		if !unique {
+			continue
+		}
+		for k := range expires {
+			_, ok := c.Get(k, now)
+			if ok == (k == earliest) {
+				t.Fatalf("round %d: key %d (expires %v) resident=%v; want only the earliest-expiring %d evicted",
+					round, k, expires[k], ok, earliest)
+			}
+		}
+	}
+}
+
+// TestEvictionDeterministic replays one overfull operation sequence on two
+// caches: with the victim a function of the cache's state, every answer
+// matches.
+func TestEvictionDeterministic(t *testing.T) {
+	a, b := New(32), New(32)
+	st := rng.New(13)
+	for op := 0; op < 20000; op++ {
+		key := uint64(st.Intn(200))
+		now := simtime.Time(op)
+		if st.Bool(0.5) {
+			ttl := simtime.Duration(st.Intn(3000))
+			a.Put(key, "v", ttl, now)
+			b.Put(key, "v", ttl, now)
+			continue
+		}
+		ea, oka := a.Get(key, now)
+		eb, okb := b.Get(key, now)
+		if ea != eb || oka != okb {
+			t.Fatalf("op %d: caches diverged: %+v/%v vs %+v/%v", op, ea, oka, eb, okb)
+		}
+	}
+}
+
 func BenchmarkGetHit(b *testing.B) {
 	c := New(0)
 	c.Put(1001, "x.example.jp", simtime.Duration(1<<40), 0)
@@ -192,9 +363,12 @@ func TestTierMetrics(t *testing.T) {
 	if got := get("cache_misses_total", "z8"); got != 1 {
 		t.Errorf("z8 misses = %d, want 1", got)
 	}
-	evictions := reg.Counter("cache_evictions_total", obs.L("cache", "test")).Value()
-	if evictions != 1 {
-		t.Errorf("evictions = %d, want 1", evictions)
+	evicted := func(victim string) uint64 {
+		return reg.Counter("cache_evictions_total", obs.L("cache", "test"), obs.L("victim", victim)).Value()
+	}
+	// Both residents are live at time 0, so the victim is live.
+	if live, expired := evicted("live"), evicted("expired"); live != 1 || expired != 0 {
+		t.Errorf("evictions live/expired = %d/%d, want 1/0", live, expired)
 	}
 	// Uninstrumenting stops counting without touching entries.
 	c.SetMetrics(nil, "")

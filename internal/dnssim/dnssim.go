@@ -44,7 +44,8 @@ type Config struct {
 	// ServFailTTL is how long a resolver remembers that a final
 	// authority is unreachable before retrying.
 	ServFailTTL simtime.Duration
-	// ResolverCacheMax bounds each resolver's cache entries.
+	// ResolverCacheMax bounds each simulated resolver's cache entries;
+	// 0 leaves the caches unbounded.
 	ResolverCacheMax int
 	// Retry is the per-level query retry policy, consulted only when a
 	// fault plan is installed (a fault-free network answers the first
@@ -111,7 +112,7 @@ func DefaultConfig() Config {
 		NationalNSTTL:    2 * simtime.Day,
 		FinalNSTTL:       6 * simtime.Hour,
 		ServFailTTL:      5 * simtime.Minute,
-		ResolverCacheMax: 4096,
+		ResolverCacheMax: 2048,
 		Retry:            DefaultRetry(),
 	}
 }

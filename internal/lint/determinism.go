@@ -10,7 +10,7 @@ import (
 func init() {
 	Register(Check{
 		Name: "determinism",
-		Doc:  "forbid wall-clock reads, global math/rand, and unsorted map-order output outside the sanctioned packages",
+		Doc:  "forbid wall-clock reads, global math/rand, unsorted map-order output, and first-match selection from a map range outside the sanctioned packages",
 		Run:  runDeterminism,
 	})
 }
@@ -79,6 +79,9 @@ func runDeterminism(pkg *Package) []Finding {
 			if !ok {
 				if fd, ok := n.(*ast.FuncDecl); ok && fd.Body != nil {
 					out = append(out, mapOrderFindings(pkg, fd)...)
+				}
+				if rs, ok := n.(*ast.RangeStmt); ok {
+					out = append(out, mapFirstMatchFindings(pkg, rs)...)
 				}
 				return true
 			}
@@ -298,4 +301,128 @@ func sortedAfter(pkg *Package, fd *ast.FuncDecl, obj types.Object, pos token.Pos
 		return !found
 	})
 	return found
+}
+
+// mapFirstMatchFindings flags first-match selection from a map range: a
+// range over a map whose body saves the key or value into a variable
+// declared outside the loop and also leaves the loop early (break,
+// return, or a labeled branch to an enclosing statement). Which entry is
+// saved then depends on Go's randomized iteration order — the shape of
+// an "evict the first candidate found" loop. A loop that runs to
+// completion sees every entry, so saving from it is order-independent
+// only when the body's own logic makes it so; those loops are left to
+// review.
+func mapFirstMatchFindings(pkg *Package, rs *ast.RangeStmt) []Finding {
+	t := pkg.Info.TypeOf(rs.X)
+	if t == nil {
+		return nil
+	}
+	if _, isMap := t.Underlying().(*types.Map); !isMap {
+		return nil
+	}
+	iterVars := map[types.Object]bool{}
+	for _, e := range []ast.Expr{rs.Key, rs.Value} {
+		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
+			if obj := pkg.Info.ObjectOf(id); obj != nil {
+				iterVars[obj] = true
+			}
+		}
+	}
+	if len(iterVars) == 0 {
+		return nil
+	}
+	mentions := func(e ast.Expr) bool {
+		found := false
+		ast.Inspect(e, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && iterVars[pkg.Info.Uses[id]] {
+				found = true
+			}
+			return !found
+		})
+		return found
+	}
+	inLoop := func(pos token.Pos) bool { return pos >= rs.Pos() && pos < rs.End() }
+
+	var saves []string
+	exits := false
+	var walk func(n ast.Node, breakable bool) bool
+	walk = func(n ast.Node, breakable bool) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false // a closure's statements do not run in this loop
+		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
+			// An unlabeled break inside these targets them, not rs.
+			ast.Inspect(n, func(m ast.Node) bool {
+				if m == n {
+					return true
+				}
+				return walk(m, false)
+			})
+			return false
+		case *ast.ReturnStmt:
+			exits = true
+		case *ast.BranchStmt:
+			switch {
+			case n.Label != nil:
+				// A labeled branch leaves rs when its label sits outside it.
+				if obj := pkg.Info.Uses[n.Label]; obj != nil && !inLoop(obj.Pos()) && n.Tok != token.GOTO {
+					exits = true
+				}
+			case n.Tok == token.BREAK && breakable:
+				exits = true
+			}
+		case *ast.AssignStmt:
+			if n.Tok == token.DEFINE {
+				return true
+			}
+			rhsMentions := false
+			for _, r := range n.Rhs {
+				rhsMentions = rhsMentions || mentions(r)
+			}
+			if !rhsMentions {
+				return true
+			}
+			for _, l := range n.Lhs {
+				if id := rootIdent(l); id != nil {
+					if obj := pkg.Info.ObjectOf(id); obj != nil && !inLoop(obj.Pos()) {
+						saves = append(saves, id.Name)
+					}
+				}
+			}
+		}
+		return true
+	}
+	ast.Inspect(rs.Body, func(n ast.Node) bool { return walk(n, true) })
+	if len(saves) == 0 || !exits {
+		return nil
+	}
+	return []Finding{{
+		Pos: pkg.Fset.Position(rs.Pos()),
+		Message: "range over map saves " + saves[0] + " from the entry it stops at; " +
+			"map order makes the selected entry nondeterministic",
+	}}
+}
+
+// rootIdent returns the variable an assignment target ultimately writes:
+// x for x, x.f, x[i], *x and combinations; nil for the blank identifier.
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			if x.Name == "_" {
+				return nil
+			}
+			return x
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }

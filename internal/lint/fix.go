@@ -35,7 +35,8 @@ type Fix struct {
 // disk, reformatting each rewritten file with go/format. Identical edits
 // (two findings prescribing the same insertion) are deduplicated, and an
 // edit overlapping an already-applied one is skipped rather than
-// corrupting the file. It returns the rewritten file paths, sorted.
+// corrupting the file. Files are rewritten in sorted order, and the
+// rewritten paths are returned in that order.
 func ApplyFixes(fset *token.FileSet, findings []Finding) ([]string, error) {
 	type edit struct {
 		start, end int // byte offsets
@@ -59,8 +60,16 @@ func ApplyFixes(fset *token.FileSet, findings []Finding) ([]string, error) {
 		}
 	}
 
+	// Rewrite files in name order, so an error stops at the same file, with
+	// the same files already rewritten, on every run.
+	names := make([]string, 0, len(byFile))
+	for name := range byFile {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	var files []string
-	for name, edits := range byFile {
+	for _, name := range names {
+		edits := byFile[name]
 		src, err := os.ReadFile(name)
 		if err != nil {
 			return files, err
@@ -104,7 +113,6 @@ func ApplyFixes(fset *token.FileSet, findings []Finding) ([]string, error) {
 		}
 		files = append(files, name)
 	}
-	sort.Strings(files)
 	return files, nil
 }
 

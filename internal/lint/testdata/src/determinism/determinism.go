@@ -80,3 +80,92 @@ func mapOrderNamedResult(m map[string]int) (keys []string) {
 	}
 	return
 }
+
+// mapFirstExpired is the eviction shape the first-match check exists for:
+// which expired entry it returns depends on map iteration order.
+func mapFirstExpired(m map[uint64]int64, now int64) uint64 {
+	var victim uint64
+	for k, exp := range m { // want "map order makes the selected entry nondeterministic"
+		if exp <= now {
+			victim = k
+			break
+		}
+	}
+	return victim
+}
+
+type pick struct{ key string }
+
+func mapFirstIntoField(m map[string]int, p *pick) bool {
+	for k, v := range m { // want "range over map saves p from the entry it stops at"
+		if v > 0 {
+			p.key = k
+			return true
+		}
+	}
+	return false
+}
+
+func mapLabeledExit(ms []map[string]int) string {
+	var got string
+outer:
+	for _, m := range ms {
+		for k := range m { // want "map order makes the selected entry nondeterministic"
+			got = k
+			continue outer
+		}
+	}
+	return got
+}
+
+func mapFullScanOK(m map[string]int) int {
+	best := 0
+	for _, v := range m { // every entry is seen: the maximum is order-independent
+		if v > best {
+			best = v
+		}
+	}
+	return best
+}
+
+func mapExistsOK(m map[string]int) bool {
+	found := false
+	for _, v := range m { // only whether a match exists escapes
+		if v < 0 {
+			found = true
+			break
+		}
+	}
+	return found
+}
+
+func mapInnerBreakOK(m map[string][]int) int {
+	total := 0
+	for _, vs := range m { // the break ends the inner loop only
+		for _, v := range vs {
+			if v < 0 {
+				break
+			}
+			total += v
+		}
+	}
+	return total
+}
+
+func mapClosureReturnOK(m map[string]int) []func() string {
+	var fs []func() string
+	for k := range m { // the return belongs to the closure
+		fs = append(fs, func() string { return k })
+	}
+	sort.Slice(fs, func(i, j int) bool { return fs[i]() < fs[j]() })
+	return fs
+}
+
+func mapFirstSuppressed(m map[string]int) string {
+	var any string
+	for k := range m { //nolint:determinism — fixture: the caller accepts any key
+		any = k
+		break
+	}
+	return any
+}

@@ -41,6 +41,7 @@ type querierPool struct {
 	seed         uint64
 	ranks        int
 	zipfS        float64
+	cacheMax     int // each resolver's cache bound (dnssim.Config.ResolverCacheMax)
 	qminFraction float64
 
 	byKey  map[poolKey]*Querier
@@ -70,16 +71,17 @@ func (p *querierPool) setMetrics(reg *obs.Registry) {
 	}
 }
 
-func newQuerierPool(g *geo.Registry, src *rng.Source, ranks int, zipfS float64) *querierPool {
+func newQuerierPool(g *geo.Registry, src *rng.Source, ranks int, zipfS float64, cacheMax int) *querierPool {
 	seed := src.Stream("querier-pool").Uint64()
 	return &querierPool{
-		geo:    g,
-		seed:   seed,
-		ranks:  ranks,
-		zipfS:  zipfS,
-		byKey:  make(map[poolKey]*Querier),
-		byAddr: make(map[ipaddr.Addr]*Querier),
-		names:  intern.New(seed),
+		geo:      g,
+		seed:     seed,
+		ranks:    ranks,
+		zipfS:    zipfS,
+		cacheMax: cacheMax,
+		byKey:    make(map[poolKey]*Querier),
+		byAddr:   make(map[ipaddr.Addr]*Querier),
+		names:    intern.New(seed),
 	}
 }
 
@@ -131,7 +133,7 @@ func (p *querierPool) get(k poolKey) *Querier {
 		Category: k.cat,
 		Name:     name,
 		Country:  geo.CountryCode(k.country),
-		Resolver: dnssim.NewResolver(addr, busy, preferM(p.geo.Region(addr)), 2048, rng.New(st.Uint64())),
+		Resolver: dnssim.NewResolver(addr, busy, preferM(p.geo.Region(addr)), p.cacheMax, rng.New(st.Uint64())),
 	}
 	// Some queriers ignore DNS timeout rules and re-query aggressively
 	// (§III-C). Firewalls and home gear logging per connection are the

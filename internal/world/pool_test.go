@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dnsbackscatter/internal/activity"
+	"dnsbackscatter/internal/dnssim"
 	"dnsbackscatter/internal/geo"
 	"dnsbackscatter/internal/ipaddr"
 	"dnsbackscatter/internal/qname"
@@ -12,7 +13,7 @@ import (
 
 func newTestPool(seed uint64) *querierPool {
 	g := geo.NewRegistry(seed)
-	return newQuerierPool(g, rng.NewSource(seed), 4096, 1.4)
+	return newQuerierPool(g, rng.NewSource(seed), 4096, 1.4, dnssim.DefaultConfig().ResolverCacheMax)
 }
 
 // TestPoolOrderIndependence: a querier's identity must be a pure function

@@ -268,7 +268,7 @@ func New(cfg Config) *World {
 	w.MRoot.End = end
 	w.Hier.AttachRoots(w.BRoot, w.MRoot)
 	w.AttachNational("jp")
-	w.pool = newQuerierPool(g, src, cfg.QuerierRanks, cfg.ZipfS)
+	w.pool = newQuerierPool(g, src, cfg.QuerierRanks, cfg.ZipfS, cfg.Hierarchy.ResolverCacheMax)
 	w.pool.qminFraction = cfg.QMinFraction
 	return w
 }

@@ -1,12 +1,15 @@
 package world
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"dnsbackscatter/internal/activity"
 	"dnsbackscatter/internal/dnslog"
+	"dnsbackscatter/internal/dnssim"
 	"dnsbackscatter/internal/ipaddr"
+	"dnsbackscatter/internal/obs"
 	"dnsbackscatter/internal/qname"
 	"dnsbackscatter/internal/simtime"
 )
@@ -58,6 +61,46 @@ func TestDeterminism(t *testing.T) {
 	}
 	if len(a.Campaigns) != len(b.Campaigns) {
 		t.Error("campaign populations differ")
+	}
+}
+
+// TestForcedEvictionDeterministic shrinks every resolver cache to 8
+// entries so live entries must be evicted, and requires two runs to agree
+// byte for byte: sensor records and the metrics snapshot, including the
+// eviction counters split by victim kind.
+func TestForcedEvictionDeterministic(t *testing.T) {
+	run := func() (*World, *obs.Registry) {
+		cfg := smallConfig()
+		cfg.Hierarchy = dnssim.DefaultConfig()
+		cfg.Hierarchy.ResolverCacheMax = 8
+		w := New(cfg)
+		reg := obs.NewRegistry()
+		w.SetMetrics(reg)
+		w.Run()
+		return w, reg
+	}
+	a, regA := run()
+	b, regB := run()
+	evicted := func(victim string) uint64 {
+		return regA.Counter("cache_evictions_total", obs.L("cache", "resolver"), obs.L("victim", victim)).Value()
+	}
+	if evicted("live") == 0 {
+		t.Fatalf("8-entry resolver caches evicted no live entry (%d expired victims)", evicted("expired"))
+	}
+	snapA, snapB := regA.Snapshot(), regB.Snapshot()
+	if !bytes.Equal(snapA, snapB) {
+		t.Errorf("metrics snapshots differ between identical runs:\n%s\n---\n%s", snapA, snapB)
+	}
+	for _, s := range [][2]*dnssim.Sensor{{a.BRoot, b.BRoot}, {a.MRoot, b.MRoot}, {a.National["jp"], b.National["jp"]}} {
+		ra, rb := s[0].Records(), s[1].Records()
+		if len(ra) == 0 || len(ra) != len(rb) {
+			t.Fatalf("%s: %d vs %d records", s[0].Name, len(ra), len(rb))
+		}
+		for i := range ra {
+			if ra[i] != rb[i] {
+				t.Fatalf("%s: record %d differs: %+v vs %+v", s[0].Name, i, ra[i], rb[i])
+			}
+		}
 	}
 }
 
